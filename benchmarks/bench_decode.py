@@ -12,7 +12,9 @@ the perf-trajectory artifact whose series shows how decode throughput moves
 across commits.  Samples carry a ``label``: the committed series starts
 with the pre-optimisation ``baseline`` sample, followed by ``default``
 (bit-identical hot path) and ``fast_math`` (opt-in fused GEMMs) samples
-from the optimised tree.
+from the optimised tree.  A ``prefill_long`` sample records the wall
+ms/ktok of one long-prompt prefill at each of ``PREFILL_LENGTHS`` tokens —
+the quadratic attention layer, which the decode mix never exercises.
 
 Environment knobs:
 
@@ -32,6 +34,9 @@ Environment knobs:
 from __future__ import annotations
 
 import os
+import time
+
+import numpy as np
 
 from benchmarks._guard import (
     append_sample,
@@ -44,6 +49,7 @@ from repro.core.config import CocktailConfig
 from repro.datasets.generator import SampleGenerator
 from repro.evaluation.efficiency import SERVING_SAMPLE_SPEC
 from repro.evaluation.setup import build_model, build_tokenizer, shared_vocabulary
+from repro.kvpool import BlockPool
 from repro.profiling import StepProfiler
 from repro.serving.engine import InferenceEngine
 from repro.serving.request import GenerationRequest
@@ -56,6 +62,8 @@ MODEL_NAME = "llama2-7b"
 MAX_RUNNING = 4
 
 TRAJECTORY = "BENCH_decode.json"
+#: Prompt lengths of the long-prompt prefill point (tokens).
+PREFILL_LENGTHS = (2048, 3072)
 
 
 def _run_decode(*, fast_math: bool = False, seed: int = 0) -> dict:
@@ -182,3 +190,35 @@ def test_bench_decode_fast_math(results_dir):
     # keep the greedy decode itself unchanged on the benchmark workload.
     assert fused["_greedy_tokens"] == default["_greedy_tokens"]
     assert fused["n_decode_tokens"] == default["n_decode_tokens"]
+
+
+def test_bench_prefill_long(results_dir):
+    """Long-prompt prefill wall time: trend data under its own label, no gate."""
+    vocab = shared_vocabulary()
+    tokenizer = build_tokenizer(vocab)
+    model = build_model(MODEL_NAME, tokenizer)
+    config = model.config
+    rng = np.random.default_rng(0)
+    metrics = {"repeats": max(1, N_REPEATS)}
+    for n_tokens in PREFILL_LENGTHS:
+        prompt = rng.integers(0, tokenizer.vocab_size, n_tokens).tolist()
+        best = float("inf")
+        for _ in range(max(1, N_REPEATS)):
+            pool = BlockPool(config.n_layers, config.n_kv_heads, config.head_dim)
+            cache = model.new_cache(n_tokens, pool=pool)
+            start = time.perf_counter()
+            model.prefill(prompt, cache)
+            best = min(best, time.perf_counter() - start)
+        metrics[f"prefill_ms_per_ktok_{n_tokens}"] = best * 1e6 / n_tokens
+
+    print(
+        "\nprefill_long: "
+        + ", ".join(
+            f"{n} tok {metrics[f'prefill_ms_per_ktok_{n}']:.0f} ms/ktok"
+            for n in PREFILL_LENGTHS
+        )
+    )
+    append_sample(
+        RESULTS_DIR / TRAJECTORY, benchmark="decode", label="prefill_long", metrics=metrics
+    )
+    assert all(metrics[f"prefill_ms_per_ktok_{n}"] > 0 for n in PREFILL_LENGTHS)

@@ -15,10 +15,7 @@ Decode hot-path notes
 step.  Three profiling-guided changes remove that:
 
 - the strictly-causal decode case (one query at the last position) skips
-  masking entirely — the mask is all-``False`` there, so ``np.where`` was a
-  full-size copy that changed nothing;
-- multi-query (prefill) masks are cached per ``(n_q, n_kv)`` for the
-  standard "queries are the cache tail" layout;
+  masking entirely — no key lies after the query, so nothing is written;
 - caches may expose ``kv_mirrors()`` returning head-major transposed K/V
   views maintained incrementally (see ``PagedLayerView``), which replaces
   both per-call transpose copies with buffer reuse;
@@ -30,6 +27,19 @@ step.  Three profiling-guided changes remove that:
 
 All of these are bit-preserving: they feed the same GEMMs/ufuncs the same
 operand values, only with fewer kernel launches and allocations.
+
+Prefill tiling
+--------------
+A long prompt attends in query tiles of :data:`_PREFILL_TILE` rows, the
+causal block skipping of FlashAttention (Dao et al., 2022) done with NumPy
+GEMMs.  A tile reads only the keys up to its last query, and only the
+keys inside its own position range can be masked, so that triangle is
+masked in place.  Peak memory drops from two ``(n_heads, n, n)`` float32
+tensors to one ``(n_heads, _PREFILL_TILE, n)`` tile, and about half of the
+quadratic work (the masked upper triangle) is never done.  Calls of at
+most one tile are bit-identical to the untiled formula; longer prompts
+differ only in the last float bits, because each softmax row sums over
+fewer trailing zeros.
 """
 
 from __future__ import annotations
@@ -53,42 +63,13 @@ def softmax(x: np.ndarray, axis: int = -1) -> np.ndarray:
     return exps / np.sum(exps, axis=axis, keepdims=True)
 
 
-#: Cached ``(expected_positions, mask)`` pairs keyed on ``(n_q, n_kv)`` for
-#: the standard prefill layout (queries occupy the last ``n_q`` cache rows).
-#: Bounded: cleared wholesale when it grows past ``_MASK_CACHE_MAX`` keys.
-_MASK_CACHE: dict[tuple[int, int], tuple[np.ndarray, np.ndarray]] = {}
-_MASK_CACHE_MAX = 256
-
-
-def _causal_mask(n_q: int, n_kv: int, positions: np.ndarray) -> np.ndarray | None:
-    """Return the ``(n_q, n_kv)`` causal mask, or ``None`` when all-``False``.
-
-    ``None`` means no key is masked — the caller may skip ``np.where``
-    entirely (bit-identical: masking with an all-``False`` mask is a copy).
-    Standard tail layouts are served from :data:`_MASK_CACHE`; arbitrary
-    position vectors (e.g. the blockwise chunk path) fall back to computing
-    the mask directly.
-    """
-    if n_q == 1:
-        p = int(positions[0])
-        if p >= n_kv - 1:
-            return None
-        return np.arange(n_kv)[None, :] > p
-    first = int(positions[0])
-    if first == n_kv - n_q:
-        cached = _MASK_CACHE.get((n_q, n_kv))
-        if cached is None:
-            expected = np.arange(first, n_kv)
-            mask = np.arange(n_kv)[None, :] > expected[:, None]
-            expected.setflags(write=False)
-            mask.setflags(write=False)
-            if len(_MASK_CACHE) >= _MASK_CACHE_MAX:
-                _MASK_CACHE.clear()
-            _MASK_CACHE[(n_q, n_kv)] = cached = (expected, mask)
-        expected, mask = cached
-        if np.array_equal(positions, expected):
-            return mask
-    return np.arange(n_kv)[None, :] > np.asarray(positions)[:, None]
+#: Query rows per attention tile.  A call with at most this many queries is
+#: one tile and computes the untiled formula bit for bit (every decode step,
+#: verify run and short prompt); a longer prompt never materialises more than
+#: ``(n_heads, _PREFILL_TILE, n_kv)`` logits.  On 1.5k-3k-token prefills of
+#: the simulation models 128 and 256 ran within a few percent of each other
+#: and 512 ran slower; 256 keeps more short prompts on the single-tile path.
+_PREFILL_TILE = 256
 
 
 @dataclass(frozen=True)
@@ -126,6 +107,8 @@ class AttentionLayer:
         )
         self._q_width = self._wq_flat.shape[1]
         self._kv_width = self._wk_flat.shape[1]
+        n_heads, head_dim, d_model = weights.wo.shape
+        self._wo_flat = weights.wo.reshape(n_heads * head_dim, d_model)
 
     @staticmethod
     def _flatten_weight(weight: np.ndarray) -> np.ndarray:
@@ -249,35 +232,62 @@ class AttentionLayer:
         with profiling_span("attend"):
             if kv_mirrors is not None:
                 k_heads, v_heads = kv_mirrors
-                n_kv = k_heads.shape[2]
             else:
                 keys_full = self._expand_kv_heads(keys)
                 values_full = self._expand_kv_heads(values)
                 k_heads = np.ascontiguousarray(keys_full.transpose(1, 2, 0))
                 v_heads = np.ascontiguousarray(values_full.transpose(1, 0, 2))
-                n_kv = keys_full.shape[0]
-            # (n_heads, n_q, n_kv) logits via per-head GEMMs.  The matmul
-            # output is freshly owned, so the scale runs in place.
+            n_kv = k_heads.shape[2]
+            positions = np.asarray(query_positions)
+            bounds = positions.tolist()
             q_heads = np.ascontiguousarray(q.transpose(1, 0, 2))
-            logits = q_heads @ k_heads
-            np.multiply(logits, self._scale, out=logits)
-            mask = _causal_mask(q.shape[0], n_kv, query_positions)
-            if mask is not None:
-                logits = np.where(mask[None, :, :], np.float32(-1e9), logits)
-            # In-place softmax: same subtract/exp/divide as `softmax` on a
-            # buffer this method owns, minus the temporaries.
-            np.subtract(
-                logits, np.max(logits, axis=-1, keepdims=True), out=logits
+            n_heads, n_q, head_dim = q_heads.shape
+            context = np.empty((n_heads, n_q, head_dim), dtype=np.float32)
+            # One logits buffer for every tile: a fresh (n_heads, tile, n_kv)
+            # allocation would pay its page faults again on every tile.
+            scratch = np.empty(
+                n_heads * min(n_q, _PREFILL_TILE) * n_kv, dtype=np.float32
             )
-            np.exp(logits, out=logits)
-            probs = logits
-            probs /= np.sum(probs, axis=-1, keepdims=True)
-            context = probs @ v_heads  # (n_heads, n_q, head_dim)
-            n_heads, n_q, head_dim = context.shape
+            for start in range(0, n_q, _PREFILL_TILE):
+                stop = min(start + _PREFILL_TILE, n_q)
+                tile_bounds = bounds[start:stop]
+                # Keys past the tile's last query are masked for all of its
+                # rows, so they are skipped.  The final tile keeps every key:
+                # a single-tile call is then the untiled formula verbatim,
+                # even for queries that sit before the end of the cache.
+                if stop == n_q:
+                    n_keys = n_kv
+                else:
+                    n_keys = min(n_kv, max(tile_bounds) + 1)
+                # (n_heads, tile, n_keys) logits via per-head GEMMs into the
+                # scratch buffer, which this method owns, so the scale, mask
+                # and softmax run in place.
+                logits = scratch[: n_heads * (stop - start) * n_keys].reshape(
+                    n_heads, stop - start, n_keys
+                )
+                np.matmul(q_heads[:, start:stop], k_heads[:, :, :n_keys], out=logits)
+                np.multiply(logits, self._scale, out=logits)
+                # Only keys after the tile's first query can be masked.
+                first_masked = min(tile_bounds) + 1
+                if first_masked < n_keys:
+                    masked = (
+                        np.arange(first_masked, n_keys) > positions[start:stop, None]
+                    )
+                    np.copyto(
+                        logits[:, :, first_masked:n_keys],
+                        np.float32(-1e9),
+                        where=masked,
+                    )
+                # In-place softmax: same subtract/exp/divide as `softmax` on
+                # a buffer this method owns, minus the temporaries.
+                np.subtract(logits, logits.max(axis=-1, keepdims=True), out=logits)
+                np.exp(logits, out=logits)
+                probs = logits
+                probs /= probs.sum(axis=-1, keepdims=True)
+                np.matmul(probs, v_heads[:, :n_keys], out=context[:, start:stop])
             # Output projection: concatenate heads and apply one GEMM.
             context_flat = context.transpose(1, 0, 2).reshape(n_q, n_heads * head_dim)
-            wo_flat = self.weights.wo.reshape(n_heads * head_dim, -1)
-            return self._as_f32(context_flat @ wo_flat)
+            return self._as_f32(context_flat @ self._wo_flat)
 
     def _attend_cache(
         self, q: np.ndarray, cache, positions: np.ndarray
@@ -353,13 +363,3 @@ class AttentionLayer:
         for i, (cache, position) in enumerate(zip(caches, positions)):
             out[i] = self.forward_decode(hidden[i : i + 1], cache, int(position))[0]
         return out
-
-    def attend_with_external_kv(
-        self,
-        q: np.ndarray,
-        keys: np.ndarray,
-        values: np.ndarray,
-        query_positions: np.ndarray,
-    ) -> np.ndarray:
-        """Attention against caller-provided K/V (used by the Cocktail blockwise path)."""
-        return self.attend(q, keys, values, query_positions)

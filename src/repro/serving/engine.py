@@ -411,6 +411,9 @@ class EngineCore:
         #: Bounded-retention bookkeeping (``retain_results=False``): results
         #: finished since the last step began, dropped when the next begins.
         self._fresh_results: set[str] = set()
+        #: Stats of sequences that emitted their first token this step;
+        #: :meth:`step` stamps them when it hands its events back.
+        self._first_token_stats: list[RequestStats] = []
         self._counter = 0
         if self.speculative is not None and self.speculative.backends is not None:
             # Fail at construction, not deep inside a decode round: a backend
@@ -623,7 +626,25 @@ class EngineCore:
             for state in self.scheduler.waiting:
                 state.stats.n_queue_steps += 1
             self.exec_stats.n_steps += 1
+            self._stamp_first_tokens()
             return events
+
+    def _stamp_first_tokens(self) -> None:
+        """Stamp this step's first tokens at the moment it hands them back.
+
+        A client sees a step's events only once every forward of the round
+        has run, and the fused path emits its tokens before its forward.
+        A sequence that also finished this step has its terminal event
+        handed back at the same moment.
+        """
+        if not self._first_token_stats:
+            return
+        now = self._clock()
+        for stats in self._first_token_stats:
+            stats.first_token_at = now
+            if stats.finished_at is not None:
+                stats.finished_at = now
+        self._first_token_stats.clear()
 
     # -- admission (incl. chunked prefill) ------------------------------------
 
@@ -1016,7 +1037,7 @@ class EngineCore:
         state.emitted_tokens.append(token)
         state.stats.n_generated = state.n_emitted
         if index == 0:
-            state.stats.first_token_at = self._clock()
+            self._first_token_stats.append(state.stats)
         self.exec_stats.n_decode_tokens += 1
         return TokenEvent(
             request_id=state.request_id,

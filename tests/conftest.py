@@ -23,6 +23,12 @@ from repro.model.transformer import Transformer
 from repro.model.weights import build_retrieval_weights
 
 
+def pytest_configure(config: pytest.Config) -> None:
+    config.addinivalue_line(
+        "markers", "slow: runs a full evaluation harness; deselect with -m 'not slow'"
+    )
+
+
 @pytest.fixture(scope="session")
 def vocab() -> Vocabulary:
     """The shared synthetic vocabulary."""

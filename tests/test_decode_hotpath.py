@@ -20,7 +20,7 @@ from repro.kvpool.codecs import (
     PerTokenCodec,
     PerTokenGroupCodec,
 )
-from repro.model.attention import _MASK_CACHE, _causal_mask, softmax
+from repro.model.attention import softmax
 from repro.model.mlp import silu
 from repro.serving.spec import NgramProposer
 
@@ -235,32 +235,6 @@ class TestVectorizedNgramParity:
         proposer = NgramProposer(k=4, max_ngram=3)
         history = [1, 2, 3, 4, 1, 2, 3, 4, 1, 2]
         assert proposer.propose(history, 4) == [3, 4, 1, 2]
-
-
-class TestMaskCache:
-    def test_decode_tail_query_needs_no_mask(self):
-        assert _causal_mask(1, 7, np.asarray([6])) is None
-        assert _causal_mask(1, 7, np.asarray([9])) is None
-
-    def test_decode_mid_history_query_is_masked(self):
-        mask = _causal_mask(1, 5, np.asarray([2]))
-        np.testing.assert_array_equal(mask, [[False, False, False, True, True]])
-
-    def test_prefill_tail_layout_is_cached(self):
-        _MASK_CACHE.clear()
-        positions = np.asarray([3, 4])
-        first = _causal_mask(2, 5, positions)
-        second = _causal_mask(2, 5, positions)
-        assert first is second  # served from the cache, not recomputed
-        expected = np.arange(5)[None, :] > positions[:, None]
-        np.testing.assert_array_equal(first, expected)
-        assert not first.flags.writeable
-
-    def test_arbitrary_positions_fall_back_to_direct_compute(self):
-        positions = np.asarray([1, 4])  # not the contiguous tail
-        mask = _causal_mask(2, 5, positions)
-        expected = np.arange(5)[None, :] > positions[:, None]
-        np.testing.assert_array_equal(mask, expected)
 
 
 class TestFastMathMode:

@@ -107,15 +107,6 @@ class TestAttentionLayer:
         out_b = attn_mha.forward_prefill(hidden, cache_b, np.arange(6))
         np.testing.assert_allclose(out_a, out_b, atol=1e-4)
 
-    def test_attend_with_external_kv(self, rng):
-        config = _config(positional="none")
-        layer = _attention_layer(config)
-        q = rng.normal(size=(1, config.n_heads, config.head_dim)).astype(np.float32)
-        keys = rng.normal(size=(8, config.n_kv_heads, config.head_dim)).astype(np.float32)
-        values = rng.normal(size=(8, config.n_kv_heads, config.head_dim)).astype(np.float32)
-        out = layer.attend_with_external_kv(q, keys, values, np.asarray([10]))
-        assert out.shape == (1, config.d_model)
-
 
 class TestMLPAndNorm:
     def test_silu_values(self):

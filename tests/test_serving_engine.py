@@ -8,6 +8,8 @@ batching produce outputs byte-identical to sequential
 
 from __future__ import annotations
 
+import itertools
+
 import pytest
 
 from repro.core.config import CocktailConfig
@@ -250,6 +252,42 @@ class TestStreaming:
             )
             outputs.append(result.token_ids)
         assert outputs[0] == outputs[1]
+
+    @pytest.mark.parametrize("batched", [True, False], ids=["fused", "sequential"])
+    def test_first_token_is_stamped_after_the_forward_of_its_step(
+        self, vocab, tokenizer, retrieval_model, tiny_samples, monkeypatch, batched
+    ):
+        """Clients see a step's first token only after the round's decode
+        forward; the engine's TTFT stamp must not read earlier, on either
+        decode path."""
+        ticks = itertools.count()
+
+        def clock() -> float:
+            return float(next(ticks))
+
+        forward_ends = []
+        for name in ("decode_step", "decode_step_batch"):
+            forward = getattr(retrieval_model, name)
+
+            def timed(*args, _forward=forward, **kwargs):
+                out = _forward(*args, **kwargs)
+                forward_ends.append(clock())
+                return out
+
+            monkeypatch.setattr(retrieval_model, name, timed)
+        engine = make_engine(
+            vocab, tokenizer, retrieval_model, clock=clock, batched_decode=batched
+        )
+        sample = tiny_samples[0]
+        request_id = engine.submit(
+            GenerationRequest(
+                sample.context_words, sample.query_words, max_new_tokens=4
+            )
+        )
+        events = engine.step()
+        assert [e.index for e in events if e.token_id is not None] == [0]
+        assert forward_ends, "the step ran no decode forward"
+        assert engine.request_stats(request_id).first_token_at > forward_ends[-1]
 
 
 class TestValidationAndLifecycle:
