@@ -141,7 +141,6 @@ def _run_pool(trace: WorkloadTrace, n_workers: int, model, tokenizer, vocab) -> 
     if n_workers > 1:
         metrics["workers"] = engine.worker_stats_payload()
         metrics["n_prefix_routed"] = engine.router.n_prefix_placed
-        engine.close()
     return metrics
 
 

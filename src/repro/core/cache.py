@@ -139,10 +139,6 @@ class ChunkedLayerCache:
         """Dequantized keys in physical (reordered) order."""
         return np.concatenate([seg.dequantize_k() for seg in self.segments], axis=0)
 
-    def values_reordered(self) -> np.ndarray:
-        """Dequantized values in physical (reordered) order."""
-        return np.concatenate([seg.dequantize_v() for seg in self.segments], axis=0)
-
     def keys_original_order(self) -> np.ndarray:
         """Dequantized keys scattered back to the original context order."""
         out = np.empty((self.n_context, self.n_kv_heads, self.head_dim), dtype=np.float32)

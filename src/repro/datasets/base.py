@@ -88,11 +88,6 @@ class LongContextSample:
     related_spans: tuple[tuple[int, int], ...] = field(default_factory=tuple)
 
     @property
-    def context_text(self) -> str:
-        """Whitespace-joined context."""
-        return " ".join(self.context_words)
-
-    @property
     def query_text(self) -> str:
         """Whitespace-joined query."""
         return " ".join(self.query_words)

@@ -45,11 +45,6 @@ class GPUSpec:
     framework_overhead_s: float = 0.005
     kv_reuse_factor: float = 8.0
 
-    @property
-    def memory_gb(self) -> float:
-        """Capacity in GiB."""
-        return self.memory_bytes / GiB
-
 
 #: The paper's testbed GPU.
 A800_80GB = GPUSpec(

@@ -63,11 +63,6 @@ class KVCacheProfile:
             frac for bits, frac in self.bit_fractions.items() if bits is not BitWidth.FP16
         )
 
-    @property
-    def is_uniform(self) -> bool:
-        """Single-precision layout?"""
-        return len(self.bit_fractions) <= 1
-
     @classmethod
     def from_plan(
         cls, plan: KVQuantizationPlan, *, chunk_size: int = 32

@@ -74,10 +74,6 @@ class TokenRowCodec(abc.ABC):
         """Bytes of cross-token metadata stored once per sequence."""
         return 0
 
-    def meta_row_bytes(self) -> int:
-        """Accounted bytes of one token's metadata row."""
-        return self.meta_width * META_VALUE_BYTES
-
 
 class PerTokenGroupCodec(TokenRowCodec):
     """Group quantization with token-local groups along the head dimension.

@@ -347,11 +347,6 @@ class BlockPool:
 
     # -- reservations ---------------------------------------------------------
 
-    @property
-    def reserved_blocks(self) -> int:
-        """Pages currently held back from availability queries."""
-        return self._reserved_blocks
-
     def reserve(self, n_blocks: int) -> None:
         """Hold ``n_blocks`` pages back from :meth:`available_blocks`.
 

@@ -1,8 +1,8 @@
 """Multi-head attention with KV caching.
 
 Supports grouped-query attention (GQA), causal masking, RoPE or table
-positional encodings, prefill over a block of tokens and single-token decode
-against a layer cache.  The cache argument is duck-typed: anything exposing
+positional encodings, prefill over a block of tokens and one-token-per-row
+decode against layer caches.  The cache argument is duck-typed: anything exposing
 ``append``/``keys``/``values`` works, which is how the same attention code
 drives both the dense :class:`~repro.model.kv_cache.LayerKVCache` and the
 pool-backed :class:`~repro.kvpool.cache.PagedLayerView` (whose ``keys``
@@ -117,13 +117,6 @@ class AttentionLayer:
         return np.ascontiguousarray(
             weight.transpose(1, 0, 2).reshape(d_model, n_heads * head_dim)
         )
-
-    @staticmethod
-    def _project(hidden: np.ndarray, weight: np.ndarray) -> np.ndarray:
-        """Apply a per-head projection ``(n_heads, d_model, head_dim)`` via one GEMM."""
-        n_heads, d_model, head_dim = weight.shape
-        flat = hidden @ weight.transpose(1, 0, 2).reshape(d_model, n_heads * head_dim)
-        return flat.reshape(hidden.shape[0], n_heads, head_dim)
 
     @staticmethod
     def _as_f32(array: np.ndarray) -> np.ndarray:
@@ -306,60 +299,37 @@ class AttentionLayer:
         cache.append(k, v)
         return self._attend_cache(q, cache, positions)
 
-    def forward_decode(
-        self, hidden: np.ndarray, cache: LayerKVCache, position: int
-    ) -> np.ndarray:
-        """Process a single token at ``position``, appending its K/V to ``cache``."""
-        positions = np.asarray([position])
-        q, k, v = self.project_qkv(hidden, positions)
-        cache.append(k, v)
-        return self._attend_cache(q, cache, positions)
-
     def forward_decode_batch(
         self,
         hidden: np.ndarray,
         caches: Sequence[LayerKVCache],
         positions: Sequence[int],
-        *,
-        fast_math: bool = False,
     ) -> np.ndarray:
-        """One decode position for each of ``n`` *independent* sequences.
+        """One decode row per entry of ``caches``, appending its K/V there.
 
-        ``hidden`` is the stacked ``(n, d_model)`` input (one row per
-        sequence); row ``i`` is projected, appended to ``caches[i]`` and
-        attended against that sequence's own K/V, exactly like
-        :meth:`forward_decode` would.
+        ``hidden`` is the stacked ``(n, d_model)`` input; row ``i`` is
+        projected at ``positions[i]``, appended to ``caches[i]`` and
+        attended against everything that cache holds at that moment.  Rows
+        run in order, so when a cache repeats (a speculative verify run)
+        each of its rows sees the rows appended before it and nothing
+        after, the same as one decode step per token.
 
         The projection GEMMs deliberately run per row rather than as one
         stacked ``(n, d_model) @ W`` GEMM: BLAS accumulates a stacked GEMM's
         rows in a shape-dependent order, so a sequence's logits would depend
         on *who else is in the batch* — unacceptable under continuous
         batching, where the batch composition changes every step.  Per-row
-        GEMMs keep the fused step bit-identical to the sequential path for
-        any batch mix (attention is per-sequence regardless, since every
-        sequence gathers its own paged KV).  On real hardware this is where
-        a batched kernel would trade that reduction-order freedom for
-        throughput; in this reproduction the fusion win is one model
-        invocation per engine step plus the shared gather/bookkeeping path.
-
-        ``fast_math=True`` opts into exactly that trade: the q/k/v
-        projections run as whole-batch stacked GEMMs, so outputs may drift
-        within float tolerance and depend on batch composition.  Attention
-        itself stays per-sequence either way.
+        GEMMs keep every row bit-identical to a one-row call for any batch
+        mix (attention is per-sequence regardless, since every sequence
+        gathers its own paged KV).  On real hardware this is where a batched
+        kernel would trade that reduction-order freedom for throughput; in
+        this reproduction the fusion win is one model invocation per engine
+        step plus the shared gather/bookkeeping path.
         """
-        if fast_math and hidden.shape[0] > 1:
-            pos_array = np.asarray(positions)
-            q, k, v = self.project_qkv(hidden, pos_array)
-            out = np.empty(
-                (hidden.shape[0], self.weights.wo.shape[2]), dtype=np.float32
-            )
-            for i, cache in enumerate(caches):
-                cache.append(k[i : i + 1], v[i : i + 1])
-                out[i] = self._attend_cache(
-                    q[i : i + 1], cache, pos_array[i : i + 1]
-                )[0]
-            return out
-        out = np.empty((hidden.shape[0], self.weights.wo.shape[2]), dtype=np.float32)
+        out = np.empty((hidden.shape[0], self._wo_flat.shape[1]), dtype=np.float32)
         for i, (cache, position) in enumerate(zip(caches, positions)):
-            out[i] = self.forward_decode(hidden[i : i + 1], cache, int(position))[0]
+            row_positions = np.asarray([position])
+            q, k, v = self.project_qkv(hidden[i : i + 1], row_positions)
+            cache.append(k, v)
+            out[i] = self._attend_cache(q, cache, row_positions)[0]
         return out

@@ -17,7 +17,7 @@ behind a backend-supplied step function and exposes it two ways:
   then compute all pending forwards through **one fused call** per engine
   step instead of one model invocation per sequence,
 * :meth:`DecodeSession.complete_verify` — the speculative variant of phase
-  2: the fused call was a multi-token *verify* forward over
+  2: the fused call also carried the session's *verify* rows
   ``[token, *drafts]``, and the session greedily accepts the drafted
   prefix the target model agrees with (exact under greedy sampling, so
   speculation never changes outputs — only the forward count).
@@ -243,15 +243,16 @@ class BatchedDecodeStep:
     stop-token / budget / cache-full semantics and the sequential round's
     capacity-check ordering), then :meth:`commit` executes **one**
     ``step_batch_fn`` call covering every session that still needs a
-    forward and feeds each session its own logits row.
+    forward and feeds each session its own logits rows.
 
     Parameters
     ----------
     step_batch_fn:
         ``(token_ids, payloads) -> list_of_logits`` — the fused backend
-        forward.  ``payloads`` are the opaque per-session objects passed to
-        :meth:`add` (the serving engine passes its prepared sequences, whose
-        caches the fused model forward appends to).
+        forward, one logits row per input row.  ``payloads`` are the opaque
+        per-session objects passed to :meth:`add` (the serving engine
+        passes its prepared sequences, whose caches the fused model forward
+        appends to), repeated once per row of a session's verify run.
     reserve:
         Optional callback taking a page count.  Called with
         ``session.step_cost()`` (or the explicit ``step_cost`` handed to
@@ -260,13 +261,6 @@ class BatchedDecodeStep:
         would have left it.  The caller releases the reservation before
         :meth:`commit` (the fused forward then performs the real
         allocations).
-    verify_batch_fn:
-        ``(token_lists, payloads) -> list_of_logits_blocks`` — the fused
-        *speculative verify* forward, where ``token_lists[i]`` is
-        ``[token, d_1, .., d_k]`` for sequence ``i`` and the returned block
-        holds one logits row per input token.  Required only when any
-        :meth:`add` carries drafts; a round without drafts always takes the
-        plain ``step_batch_fn`` path.
     """
 
     def __init__(
@@ -274,14 +268,13 @@ class BatchedDecodeStep:
         step_batch_fn: Callable[[list[int], list], list[np.ndarray]],
         *,
         reserve: Callable[[int], None] | None = None,
-        verify_batch_fn: Callable[[list[list[int]], list], list] | None = None,
     ):
         self._step_batch_fn = step_batch_fn
-        self._verify_batch_fn = verify_batch_fn
         self._reserve = reserve
         self._pending: list[tuple[DecodeSession, int, object, tuple[int, ...]]] = []
         #: Per-pending-entry accepted draft tokens of the last :meth:`commit`
-        #: (empty lists on the plain path); aligned with the add order.
+        #: (empty lists for sessions without drafts); aligned with the add
+        #: order.
         self.accepted_drafts: list[list[int]] = []
 
     @property
@@ -299,9 +292,10 @@ class BatchedDecodeStep:
     ) -> tuple[int | None, bool]:
         """Run phase 1 for one session; queue its forward if it needs one.
 
-        ``drafts`` turns the queued forward into a speculative verify over
-        ``[token, *drafts]`` — :meth:`commit` then runs the session's
-        propose→verify→accept phase and records the surviving tokens in
+        ``drafts`` turns the queued forward into a speculative verify run
+        over ``[token, *drafts]`` — one row per token, all over the same
+        payload — and :meth:`commit` then runs the session's
+        verify→accept phase and records the surviving tokens in
         :attr:`accepted_drafts` (the caller emits them and rolls back the
         rejected cache tail).  ``step_cost`` overrides the session's own
         single-token cost probe for the reservation callback — a verify
@@ -311,8 +305,6 @@ class BatchedDecodeStep:
         Returns the session's ``(token, needs_forward)`` pair (see
         :meth:`DecodeSession.begin_step`).
         """
-        if drafts and self._verify_batch_fn is None:
-            raise ValueError("drafts require a verify_batch_fn")
         token, needs_forward = session.begin_step()
         if needs_forward:
             if step_cost is None and session.step_cost is not None:
@@ -325,40 +317,30 @@ class BatchedDecodeStep:
     def commit(self) -> int:
         """Execute the fused forward and complete every pending session.
 
-        Returns the batch size of the fused call (0 when nothing was
-        pending, in which case no forward runs at all).  With drafts
-        queued, the single fused call is the verify forward; every
+        Returns the number of sessions the fused call advanced (0 when
+        nothing was pending, in which case no forward runs at all).  Each
         session's acceptance outcome lands in :attr:`accepted_drafts`.
         """
         self.accepted_drafts = []
         if not self._pending:
             return 0
         pending, self._pending = self._pending, []
-        payloads = [payload for _, _, payload, _ in pending]
-        if any(drafts for _, _, _, drafts in pending):
-            token_lists = [[token, *drafts] for _, token, _, drafts in pending]
-            logits_blocks = self._verify_batch_fn(token_lists, payloads)
-            if len(logits_blocks) != len(pending):
-                raise RuntimeError(
-                    f"fused verify returned {len(logits_blocks)} logits blocks "
-                    f"for {len(pending)} sequences"
-                )
-            for (session, _, _, drafts), rows in zip(pending, logits_blocks):
-                if len(rows) != 1 + len(drafts):
-                    raise RuntimeError(
-                        f"verify returned {len(rows)} logits rows for "
-                        f"{1 + len(drafts)} input tokens"
-                    )
-                self.accepted_drafts.append(session.complete_verify(drafts, rows))
-        else:
-            tokens = [token for _, token, _, _ in pending]
-            logits_list = self._step_batch_fn(tokens, payloads)
-            if len(logits_list) != len(pending):
-                raise RuntimeError(
-                    f"fused step returned {len(logits_list)} logits rows for "
-                    f"{len(pending)} sequences"
-                )
-            for (session, _, _, _), logits in zip(pending, logits_list):
-                session.complete_step(logits)
-            self.accepted_drafts = [[] for _ in pending]
+        tokens: list[int] = []
+        payloads: list = []
+        for _, token, payload, drafts in pending:
+            tokens.append(token)
+            tokens.extend(drafts)
+            payloads.extend([payload] * (1 + len(drafts)))
+        logits_rows = self._step_batch_fn(tokens, payloads)
+        if len(logits_rows) != len(tokens):
+            raise RuntimeError(
+                f"fused step returned {len(logits_rows)} logits rows for "
+                f"{len(tokens)} input rows"
+            )
+        start = 0
+        for session, _, _, drafts in pending:
+            rows = logits_rows[start : start + 1 + len(drafts)]
+            start += len(rows)
+            # With no drafts this is exactly complete_step(rows[0]).
+            self.accepted_drafts.append(session.complete_verify(drafts, rows))
         return len(pending)

@@ -129,39 +129,31 @@ class Transformer:
 
         Returns the logits predicting the next token.
         """
-        position = cache.length
-        if position >= cache.capacity:
-            raise ValueError("KV cache is full")
-        hidden = self.embed([token_id], np.asarray([position]))
-        for block, layer_cache in zip(self.blocks, cache.layers):
-            hidden = block.forward_decode(hidden, layer_cache, position)
-        return self._logits(hidden[0])
+        return self._decode_rows([token_id], [cache])[0]
 
     def decode_step_batch(
         self,
         token_ids: Sequence[int],
         caches: Sequence[ModelKVCache],
-        *,
-        fast_math: bool = False,
     ) -> list[np.ndarray]:
-        """One fused decode forward advancing ``n`` independent sequences.
+        """One decode forward over ``n`` rows, one token per row.
 
-        ``token_ids[i]`` is appended to ``caches[i]`` at that sequence's own
-        next position and the corresponding next-token logits are returned,
-        one row per sequence.  This is the serving engine's batched hot
-        path: the whole running set moves one token through the model in a
+        Row ``i`` appends ``token_ids[i]`` to ``caches[i]`` and yields the
+        logits predicting the token after it.  This is the serving engine's
+        hot path: the whole running set moves through the model in a
         *single* invocation (one embedding lookup, one pass over the layer
-        stack) instead of ``n`` per-sequence forwards.  Outputs are
-        bit-identical to ``n`` separate :meth:`decode_step` calls for any
-        batch composition — see
-        :meth:`~repro.model.attention.AttentionLayer.forward_decode_batch`
-        for the invariance argument.
+        stack) instead of ``n`` per-sequence forwards.
 
-        ``fast_math=True`` (the engine's opt-in throughput mode) stacks the
-        per-row projection, MLP and unembedding GEMMs into whole-batch
-        GEMMs; outputs may then drift within float tolerance and depend on
-        batch composition.  Default ``False`` keeps the bit-identity
-        contract.
+        A cache may appear in several rows.  Its ``i``-th row sits at
+        position ``cache.length + i``, and within each layer the rows run
+        in order, so ``[token, *drafts]`` over a repeated cache is a
+        speculative verify run: each row attends to the rows before it,
+        exactly as ``k + 1`` successive :meth:`decode_step` calls would.
+        Every row is bit-identical to that sequential reference whatever
+        else shares the call — see
+        :meth:`~repro.model.attention.AttentionLayer.forward_decode_batch`
+        for the invariance argument.  Capacity is checked for every row
+        before any cache is touched.
         """
         if len(token_ids) != len(caches):
             raise ValueError(
@@ -169,80 +161,30 @@ class Transformer:
             )
         if not caches:
             return []
+        return self._decode_rows(token_ids, caches)
+
+    def _decode_rows(
+        self, token_ids: Sequence[int], caches: Sequence[ModelKVCache]
+    ) -> list[np.ndarray]:
+        """The layer-major row forward behind both decode entry points."""
         positions = []
+        rows_per_cache: dict[int, int] = {}
         for cache in caches:
-            position = cache.length
+            offset = rows_per_cache.get(id(cache), 0)
+            rows_per_cache[id(cache)] = offset + 1
+            positions.append(cache.length + offset)
+        for cache, position in zip(caches, positions):
             if position >= cache.capacity:
-                raise ValueError("KV cache is full")
-            positions.append(position)
+                rows = rows_per_cache[id(cache)]
+                raise ValueError(
+                    f"KV cache is full: {rows} rows from length {cache.length} "
+                    f"do not fit capacity {cache.capacity}"
+                )
         hidden = self.embed(list(token_ids), np.asarray(positions))
-        fused = fast_math and hidden.shape[0] > 1
         for layer_index, block in enumerate(self.blocks):
             layer_caches = [cache.layers[layer_index] for cache in caches]
-            hidden = block.forward_decode_batch(
-                hidden, layer_caches, positions, fast_math=fused
-            )
-        if fused:
-            with profiling_span("logits"):
-                normed = self.final_norm.forward(hidden)
-                logits = (normed @ self.weights.unembedding).astype(np.float32)
-            return [logits[i] for i in range(logits.shape[0])]
+            hidden = block.forward_decode_batch(hidden, layer_caches, positions)
         return [self._logits(hidden[i]) for i in range(hidden.shape[0])]
-
-    def decode_verify_step(
-        self, token_ids: Sequence[int], cache: ModelKVCache
-    ) -> list[np.ndarray]:
-        """One multi-token verify forward for speculative decoding.
-
-        ``token_ids`` is ``[next_token, draft_1, .., draft_k]`` — the token
-        the decode session is emitting this step plus the proposer's
-        guesses.  All ``k + 1`` rows are appended to ``cache`` and one
-        next-token logits row per input is returned; the caller verifies
-        the drafts against those logits and truncates the cache rows of the
-        rejected tail (see :meth:`~repro.kvpool.cache.PagedKVCache.truncate`).
-
-        Positions run strictly sequentially inside the single invocation —
-        exactly the per-row discipline of :meth:`decode_step_batch` — so
-        every logits row is bit-identical to the sequential
-        :meth:`decode_step` it replaces *regardless of how many drafts were
-        attached*: acceptance length can never perturb the numerics.  On
-        real hardware this is one causal multi-row forward (the prefill
-        kernel at decode time); here the fusion win is one model invocation
-        per verify run instead of one per token.
-        """
-        token_ids = list(token_ids)
-        if not token_ids:
-            raise ValueError("verify requires at least one token")
-        if cache.length + len(token_ids) > cache.capacity:
-            raise ValueError(
-                f"verify run of {len(token_ids)} tokens does not fit the cache "
-                f"(length {cache.length}, capacity {cache.capacity})"
-            )
-        with profiling_span("verify"):
-            return [self.decode_step(token_id, cache) for token_id in token_ids]
-
-    def decode_verify_step_batch(
-        self,
-        token_lists: Sequence[Sequence[int]],
-        caches: Sequence[ModelKVCache],
-    ) -> list[list[np.ndarray]]:
-        """One fused verify forward advancing ``n`` independent sequences.
-
-        ``token_lists[i]`` is sequence ``i``'s ``[next_token, *drafts]``
-        run (lengths may differ per sequence — acceptance windows shrink
-        with budget and pool headroom); the return value is one logits
-        block per sequence with one row per input token.  This is the
-        speculative serving engine's hot path: the whole running set's
-        verify runs execute in a *single* model invocation per engine step.
-        Like :meth:`decode_step_batch`, rows are computed per sequence and
-        per position, so outputs never depend on the batch composition.
-        """
-        if len(token_lists) != len(caches):
-            raise ValueError(f"{len(token_lists)} token runs for {len(caches)} caches")
-        return [
-            self.decode_verify_step(token_ids, cache)
-            for token_ids, cache in zip(token_lists, caches)
-        ]
 
     def generate(
         self,

@@ -7,10 +7,8 @@ Public surface:
   ``ExecutionStats.phase_times``.
 - :func:`span` — the marker used by the engine/model/kvpool hot paths;
   a shared no-op when no profiler is attached.
-- :func:`worker_scope` — tags this thread's spans with a worker label so
-  a sharded pool's per-worker step times stay separable.
 """
 
-from repro.profiling.profiler import CORE_PHASES, StepProfiler, span, worker_scope
+from repro.profiling.profiler import CORE_PHASES, StepProfiler, span
 
-__all__ = ["CORE_PHASES", "StepProfiler", "span", "worker_scope"]
+__all__ = ["CORE_PHASES", "StepProfiler", "span"]

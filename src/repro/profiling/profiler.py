@@ -1,7 +1,7 @@
 """Lightweight per-phase wall-time profiling for the serving engine.
 
 The engine's hot path is annotated with :func:`span` markers — ``schedule``,
-``gather``, ``dequant``, ``project``, ``attend``, ``verify`` — plus one
+``gather``, ``dequant``, ``project``, ``attend``, ``mlp``, ``logits`` — plus one
 ``step`` span wrapping :meth:`EngineCore.step`.  When no profiler is
 attached every marker collapses to a shared no-op context manager, so the
 annotations cost nanoseconds on the production path.
@@ -20,17 +20,16 @@ sampling, queue bookkeeping, result assembly — is reported as
 ``bookkeeping``.  The ``step`` span additionally feeds the per-step
 duration series used for the p50/p95 step-time percentiles.
 
-Only one profiler is active at a time (a module-level sink), but spans may
-be recorded from *several* threads concurrently — the sharded pool steps N
-workers at once.  Span nesting is tracked per thread (a thread-local
-stack) and sink accumulation is lock-guarded, so concurrent worker steps
-never corrupt each other's exclusive accounting.  Wrap each worker's step
-in :func:`worker_scope` to additionally attribute its ``step`` spans (and
-phase seconds) to a per-worker series — see
-:attr:`StepProfiler.worker_step_times`.  The optional ``cprofile=True``
-capture wraps the attach/detach window in a :mod:`cProfile` session —
-note cProfile only observes the *attaching* thread, so it is most useful
-when the same thread attaches and steps.
+Only one profiler is active at a time (a module-level sink).  The engine
+steps on one thread, but that need not be the thread that attached the
+profiler: :class:`~repro.serving.server.ServerCore` steps on its own
+engine thread while a caller attaches from another, and the caller may
+read the totals while steps are still landing.  Span nesting is therefore
+tracked per thread (a thread-local stack) and sink accumulation is
+lock-guarded.  The optional ``cprofile=True`` capture wraps the
+attach/detach window in a :mod:`cProfile` session — note cProfile only
+observes the *attaching* thread, so it is most useful when the same
+thread attaches and steps.
 """
 
 from __future__ import annotations
@@ -41,7 +40,7 @@ import pstats
 import threading
 from time import perf_counter
 
-__all__ = ["StepProfiler", "span", "worker_scope"]
+__all__ = ["StepProfiler", "span"]
 
 # The phases the engine annotates, in hot-path order.  ``bookkeeping`` is
 # synthesized from the self-time of the ``step`` span; extra phases appear
@@ -54,7 +53,6 @@ CORE_PHASES = (
     "attend",
     "mlp",
     "logits",
-    "verify",
     "bookkeeping",
 )
 
@@ -79,8 +77,8 @@ _NOOP = _NoopSpan()
 # plus one `is None` check on the un-profiled path.
 _SINK: "StepProfiler | None" = None
 
-# Per-thread span state: the nesting stack (exclusive-time accounting must
-# not cross threads) and the current worker label set by `worker_scope`.
+# Per-thread span nesting stack: exclusive-time accounting must not cross
+# threads.
 _TLS = threading.local()
 
 
@@ -114,21 +112,13 @@ class _Span:
         if stack:
             stack[-1].child_time += duration
         name = self.name
-        worker = getattr(_TLS, "worker", None)
         self_time = duration - self.child_time
         with sink._lock:
             if name == _STEP_SPAN:
                 sink.step_times.append(duration)
-                if worker is not None:
-                    sink.worker_step_times.setdefault(worker, []).append(
-                        duration
-                    )
                 name = "bookkeeping"
             sink.phase_times[name] = sink.phase_times.get(name, 0.0) + self_time
             sink.phase_counts[name] = sink.phase_counts.get(name, 0) + 1
-            if worker is not None:
-                phases = sink.worker_phase_times.setdefault(worker, {})
-                phases[name] = phases.get(name, 0.0) + self_time
         return False
 
 
@@ -138,34 +128,6 @@ def span(name: str):
     if sink is None:
         return _NOOP
     return _Span(sink, name)
-
-
-class _WorkerScope:
-    """Tag this thread's spans with a worker label for the scope's duration."""
-
-    __slots__ = ("label", "prev")
-
-    def __init__(self, label: str):
-        self.label = label
-
-    def __enter__(self) -> "_WorkerScope":
-        self.prev = getattr(_TLS, "worker", None)
-        _TLS.worker = self.label
-        return self
-
-    def __exit__(self, *exc) -> bool:
-        _TLS.worker = self.prev
-        return False
-
-
-def worker_scope(label: str):
-    """Attribute spans recorded in this scope (this thread) to ``label``.
-
-    Cheap enough to wrap every worker step whether or not a profiler is
-    attached — it only sets one thread-local attribute.  Scopes nest; the
-    innermost label wins, and the previous label is restored on exit.
-    """
-    return _WorkerScope(label)
 
 
 def _percentile(values: list[float], q: float) -> float:
@@ -195,10 +157,6 @@ class StepProfiler:
         self.phase_times: dict[str, float] = {}
         self.phase_counts: dict[str, int] = {}
         self.step_times: list[float] = []
-        #: Step durations per `worker_scope` label (sharded pool workers).
-        self.worker_step_times: dict[str, list[float]] = {}
-        #: Exclusive per-phase seconds per `worker_scope` label.
-        self.worker_phase_times: dict[str, dict[str, float]] = {}
         self._lock = threading.Lock()
         self._cprofile = cProfile.Profile() if cprofile else None
         self._prev_sink: StepProfiler | None = None
@@ -273,7 +231,7 @@ class StepProfiler:
 
     def summary(self) -> dict:
         """JSON-friendly snapshot: steps, percentiles, per-phase seconds."""
-        payload = {
+        return {
             "n_steps": self.n_steps,
             "total_seconds": self.total_seconds,
             "step_ms_p50": self.step_percentile(0.50) * 1e3,
@@ -281,19 +239,6 @@ class StepProfiler:
             "phase_seconds": dict(self.phase_times),
             "phase_fraction": self.phase_breakdown(),
         }
-        if self.worker_step_times:
-            payload["workers"] = {
-                label: {
-                    "n_steps": len(times),
-                    "total_seconds": sum(times),
-                    "step_ms_p50": _percentile(times, 0.50) * 1e3,
-                    "phase_seconds": dict(
-                        self.worker_phase_times.get(label, {})
-                    ),
-                }
-                for label, times in sorted(self.worker_step_times.items())
-            }
-        return payload
 
     def profile_table(self) -> str:
         """Human-readable per-phase report, hottest phase first."""

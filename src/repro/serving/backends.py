@@ -221,12 +221,9 @@ class PreparedSequence:
         Token IDs of the full prompt, kept for the speculative-decoding
         draft proposer (prompt-lookup drafting matches n-grams over prompt
         + generated history).  ``None`` when the backend does not surface
-        them.
-    spec_capable:
-        Whether this sequence may run speculative verify steps
-        (:meth:`DecodeBackend.verify_batch` over its plain model cache
-        with :meth:`~repro.kvpool.cache.PagedKVCache.truncate` rollback).
-        Stamped by the backend; requires ``cache`` and ``prompt_ids``.
+        them.  A sequence with a ``batch_key`` may run speculative verify
+        rows through the same fused :meth:`DecodeBackend.step_batch`, with
+        :meth:`~repro.kvpool.cache.PagedKVCache.truncate` rollback.
     """
 
     session: DecodeSession
@@ -245,7 +242,6 @@ class PreparedSequence:
     cache: object | None = field(default=None, repr=False)
     batch_key: str | None = None
     prompt_ids: tuple[int, ...] | None = None
-    spec_capable: bool = False
 
     @property
     def supports_swap(self) -> bool:
@@ -335,8 +331,9 @@ class DecodeBackend(abc.ABC):
     @property
     def supports_batched_step(self) -> bool:
         """Whether this backend's prepared sequences may be fused into one
-        :meth:`step_batch` forward per engine step.  ``False`` keeps every
-        sequence on the sequential one-forward-per-token path."""
+        :meth:`step_batch` forward per engine step (and so may speculate).
+        ``False`` keeps every sequence on the sequential
+        one-forward-per-token path."""
         return False
 
     def step_batch(
@@ -344,42 +341,13 @@ class DecodeBackend(abc.ABC):
     ) -> list[np.ndarray]:
         """One fused decode forward for ``sequences`` (same ``batch_key``).
 
-        ``token_ids[i]`` is the token :meth:`DecodeSession.begin_step`
-        emitted for ``sequences[i]``; the return value is one next-token
-        logits row per sequence, in order.
+        ``token_ids[i]`` is the token fed for ``sequences[i]``; the return
+        value is one next-token logits row per input row, in order.  A
+        sequence repeats once per row of its speculative verify run (see
+        :meth:`~repro.model.transformer.Transformer.decode_step_batch`).
         """
         raise NotImplementedError(
             f"backend {self.name!r} decodes on the sequential path"
-        )
-
-    # -- speculative decoding -------------------------------------------------
-
-    @property
-    def supports_speculation(self) -> bool:
-        """Whether this backend's sequences may run speculative verify steps.
-
-        Requires the standard transformer decode over a plain model cache
-        (so a verify forward can append ``k + 1`` rows and the rejected
-        tail can be truncated) — the same constraint as
-        :attr:`supports_batched_step`.  ``False`` keeps every sequence on
-        plain one-token-per-step decoding.
-        """
-        return False
-
-    def verify_batch(
-        self,
-        token_lists: Sequence[Sequence[int]],
-        sequences: Sequence[PreparedSequence],
-    ) -> list[list[np.ndarray]]:
-        """One fused speculative-verify forward for ``sequences``.
-
-        ``token_lists[i]`` is ``[token, *drafts]`` for ``sequences[i]``;
-        the return value is one logits block per sequence with one row per
-        input token (see
-        :meth:`~repro.model.transformer.Transformer.decode_verify_step_batch`).
-        """
-        raise NotImplementedError(
-            f"backend {self.name!r} does not support speculative decoding"
         )
 
     # -- chunked prefill ------------------------------------------------------
@@ -460,39 +428,13 @@ class QuantizedDenseBackend(DecodeBackend):
     def step_batch(
         self, token_ids: Sequence[int], sequences: Sequence[PreparedSequence]
     ) -> list[np.ndarray]:
-        """Advance every sequence one token through one fused model forward."""
+        """Run every row through one fused model forward."""
         caches = []
         for sequence in sequences:
             if sequence.cache is None:
                 raise ValueError("sequence carries no decode cache to batch over")
             caches.append(sequence.cache)
-        return self.model.decode_step_batch(
-            list(token_ids),
-            caches,
-            fast_math=getattr(self.engine, "fast_math", False),
-        )
-
-    @property
-    def supports_speculation(self) -> bool:
-        """Speculation shares the fused kernel's constraint: token-local
-        quantizers verify in one multi-token forward; per-request fitted
-        codebooks (KIVI, KVQuant) stay on the plain sequential path."""
-        return self.supports_batched_step
-
-    def verify_batch(
-        self,
-        token_lists: Sequence[Sequence[int]],
-        sequences: Sequence[PreparedSequence],
-    ) -> list[list[np.ndarray]]:
-        """Run every sequence's verify run through one fused model forward."""
-        caches = []
-        for sequence in sequences:
-            if sequence.cache is None:
-                raise ValueError("sequence carries no decode cache to verify over")
-            caches.append(sequence.cache)
-        return self.model.decode_verify_step_batch(
-            [list(tokens) for tokens in token_lists], caches
-        )
+        return self.model.decode_step_batch(list(token_ids), caches)
 
     def start_prefill(self, request: "GenerationRequest") -> PrefillJob:
         """Chunked prefill into the cache :meth:`prepare` will consume.
@@ -562,7 +504,6 @@ class QuantizedDenseBackend(DecodeBackend):
             cache=cache,
             batch_key=self.TRANSFORMER_BATCH_KEY if self.supports_batched_step else None,
             prompt_ids=tuple(prompt),
-            spec_capable=self.supports_speculation,
             **_paged_hooks(cache),
         )
 
@@ -723,7 +664,6 @@ class QuantizedDenseBackend(DecodeBackend):
             cache=cache,
             batch_key=self.TRANSFORMER_BATCH_KEY if self.supports_batched_step else None,
             prompt_ids=tuple(prompt),
-            spec_capable=self.supports_speculation,
             **_paged_hooks(cache),
         )
 

@@ -107,7 +107,7 @@ class ExecutionStats:
     #: one-shot admissions; swap-ins restore pages without prefilling and
     #: are not counted).
     n_prefill_tokens: int = 0
-    #: Draft tokens attached to verify forwards (speculative decoding).
+    #: Draft tokens attached to verify rows (speculative decoding).
     n_drafted_tokens: int = 0
     #: Drafted tokens the greedy verification accepted — each one a
     #: generated token that cost no extra target-model forward, which is
@@ -115,7 +115,7 @@ class ExecutionStats:
     #: ``1 / mean_batch_occupancy``.
     n_accepted_tokens: int = 0
     #: Per-phase wall-clock seconds (schedule / gather / dequant / project /
-    #: attend / verify / bookkeeping, …) accumulated by an attached
+    #: attend / mlp / logits / bookkeeping, …) accumulated by an attached
     #: :class:`repro.profiling.StepProfiler`; empty unless one was attached.
     phase_times: dict[str, float] = field(default_factory=dict)
 
@@ -233,9 +233,10 @@ class EngineCore:
         or a plain ``int`` shorthand for ``SpeculativeConfig(k=...)``).
         Each engine step a draft proposer (n-gram prompt lookup by
         default) guesses up to ``k`` continuation tokens per in-flight
-        sequence; ONE fused verify forward checks every guess against the
-        target model, accepted tokens are emitted at zero extra forwards
-        and the rejected tail's cache rows are rolled back
+        sequence; the round's one fused forward checks every guess against
+        the target model (one row per drafted token), accepted tokens are
+        emitted at zero extra forwards and the rejected tail's cache rows
+        are rolled back
         (:meth:`~repro.kvpool.cache.PagedKVCache.truncate`).  Greedy
         verification is exact, so outputs are bit-identical to plain
         decoding for every backend; sequences that cannot speculate —
@@ -294,7 +295,6 @@ class EngineCore:
         batched_decode: bool | None = None,
         max_prefill_tokens_per_step: int | None = None,
         speculative: SpeculativeConfig | int | None = None,
-        fast_math: bool = False,
         retain_results: bool = True,
         prefill_controller: "PrefillBudgetController | None" = None,
         slo_policy: "SloPolicy | None" = None,
@@ -390,18 +390,6 @@ class EngineCore:
                     "it cannot be combined with batched_decode=False"
                 )
             self._proposer = create_proposer(speculative)
-        #: Opt-in throughput mode: the fused decode forward stacks the
-        #: per-row projection/MLP/unembedding GEMMs into whole-batch GEMMs.
-        #: Faster, but the stacked BLAS reduction order depends on the batch
-        #: shape, so outputs may drift within float tolerance and the
-        #: cross-backend *bit*-identity guarantee no longer applies.  Off by
-        #: default; every default-mode path is unchanged.
-        self.fast_math = bool(fast_math)
-        if self.fast_math and not self.batched_decode:
-            raise ValueError(
-                "fast_math accelerates the fused batched forward; "
-                "it cannot be combined with batched_decode=False"
-            )
         self.retain_results = retain_results
         self.exec_stats = ExecutionStats()
         self._clock = clock
@@ -417,10 +405,10 @@ class EngineCore:
         self._counter = 0
         if self.speculative is not None and self.speculative.backends is not None:
             # Fail at construction, not deep inside a decode round: a backend
-            # explicitly opted into speculation must actually support the
-            # multi-token verify forward.
+            # explicitly opted into speculation must actually run on the
+            # fused decode forward its verify rows ride in.
             for name in self.speculative.backends:
-                if not self.get_backend(name).supports_speculation:
+                if not self.get_backend(name).supports_batched_step:
                     raise ValueError(
                         f"backend {name!r} cannot run speculative decoding: its "
                         "decode state is fitted per request "
@@ -863,9 +851,10 @@ class EngineCore:
         draft proposer for up to ``k`` continuation guesses per batchable
         sequence (window clamped by decode budget, cache capacity and pool
         headroom — the drafted rows are reserved like any deferred
-        allocation); the group's one fused call becomes a *verify* forward
-        over ``[token, *drafts]`` per sequence, and a third phase emits the
-        accepted tokens and truncates the rejected tails' cache rows.
+        allocation); the group's one fused call then carries ``[token,
+        *drafts]`` as consecutive rows over that sequence's cache, and a
+        third phase emits the accepted tokens and truncates the rejected
+        tails' cache rows.
         """
         events: list[TokenEvent] = []
         batches: dict[str, BatchedDecodeStep] = {}
@@ -891,13 +880,7 @@ class EngineCore:
                 if batch is None:
                     backend = self.get_backend(state.request.backend)
                     batch = batches[key] = BatchedDecodeStep(
-                        backend.step_batch,
-                        reserve=reserve,
-                        verify_batch_fn=(
-                            backend.verify_batch
-                            if self.speculative is not None
-                            else None
-                        ),
+                        backend.step_batch, reserve=reserve
                     )
                 drafts, step_cost = self._plan_drafts(state)
                 token, needs_forward = batch.add(
@@ -944,9 +927,9 @@ class EngineCore:
           under the round's reservation ledger, so drafting never claims
           pages a sequential engine would not have been granted.
 
-        Sequences that cannot speculate — non-greedy sampling, backends
-        without verify support, no history to look up — return an empty
-        draft (the plain fused step).
+        Only sequences on the fused path are asked.  Those that cannot
+        speculate — non-greedy sampling, no history to look up — return an
+        empty draft (the plain fused step).
         """
         spec = self.speculative
         if spec is None:
@@ -954,8 +937,7 @@ class EngineCore:
         prepared = state.prepared
         session = prepared.session
         if (
-            not prepared.spec_capable
-            or prepared.cache is None
+            prepared.cache is None
             or prepared.prompt_ids is None
             or session.finished
             or not state.request.sampling.is_greedy

@@ -189,9 +189,6 @@ class ServerCore:
         ``/v1/stats`` grows a per-worker ``workers`` section.
     n_workers:
         Worker count for pool mode (ignored with a direct ``engine``).
-    threaded_workers:
-        Step pool workers on their own threads inside each round (see
-        :class:`~repro.serving.sharded.ShardedEngine`).
     tenants:
         Tenant registry (default: a permissive anonymous-only registry).
     max_stream_backlog:
@@ -210,7 +207,6 @@ class ServerCore:
         *,
         engine_factory=None,
         n_workers: int = 1,
-        threaded_workers: bool = False,
         tenants: TenantRegistry | None = None,
         max_stream_backlog: int = 256,
         slow_reader_policy: str = "pause",
@@ -228,11 +224,7 @@ class ServerCore:
             else:
                 from repro.serving.sharded import ShardedEngine
 
-                engine = ShardedEngine(
-                    engine_factory,
-                    n_workers=n_workers,
-                    threaded=threaded_workers,
-                )
+                engine = ShardedEngine(engine_factory, n_workers=n_workers)
         if slow_reader_policy not in SLOW_READER_POLICIES:
             raise ValueError(
                 f"slow_reader_policy must be one of {SLOW_READER_POLICIES}, "
@@ -291,10 +283,6 @@ class ServerCore:
             self._cond.notify_all()
         thread.join()
         self._thread = None
-        # A pooled engine owns worker threads of its own; park them too.
-        engine_close = getattr(self.engine, "close", None)
-        if callable(engine_close):
-            engine_close()
 
     # -- the request path (any thread) -----------------------------------------
 

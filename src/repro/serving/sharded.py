@@ -24,16 +24,18 @@ hits after sharding.  Requests with no match (or whose backend cannot be
 keyed ahead of prefill) fall back to load placement: least outstanding
 decode tokens, then fewest allocated pool pages.
 
-Concurrency model — fork/join rounds.  One facade :meth:`ShardedEngine.
-step` is one *round*: every worker with runnable work advances exactly one
-engine step, and the merged event stream comes back in worker order
-(deterministic, replayable from a trace seed).  With ``threaded=True``
-each worker steps on its own persistent thread inside the round — the
-numpy GEMMs release the GIL, so on multi-core hosts the round's wall time
-approaches the slowest worker rather than the sum.  All *control* calls
-(submit / cancel / pause / resume / result) run on the caller's thread
-strictly between rounds, when worker threads are parked, so the cores
-need no locks and stay bit-identical to their single-worker selves.
+Concurrency model — sequential rounds on one thread.  One facade
+:meth:`ShardedEngine.step` is one *round*: every worker with runnable
+work advances exactly one engine step, in worker order, on the caller's
+thread, and the merged event stream comes back in that order
+(deterministic, replayable from a trace seed).  Workers do not step on
+threads of their own: the per-row Python dispatch that dominates a step
+holds the GIL, and on a 2-vCPU host stepping two workers on parallel
+threads measured slower than stepping them inline.  The pool's scaling
+numbers (``bench_sharded``) are therefore virtual-clock *capacity*, not
+wall time.  Control calls (submit / cancel / pause / resume / result) run
+between rounds on the same thread, so the cores need no locks and stay
+bit-identical to their single-worker selves.
 
 Worker failure is survivable: :meth:`ShardedEngine.kill_worker` drains
 the victim — queued (not yet started) requests are re-dispatched through
@@ -48,7 +50,6 @@ from __future__ import annotations
 import threading
 from typing import Callable, Sequence
 
-from repro.profiling import worker_scope
 from repro.serving.engine import EngineCore, ExecutionStats
 from repro.serving.request import GenerationRequest, GenerationResult, TokenEvent
 from repro.serving.request import RequestStats
@@ -165,9 +166,7 @@ class GlobalPrefixIndex:
 class ShardWorker:
     """One data-parallel worker: a private engine plus routing bookkeeping.
 
-    The worker itself is passive — the facade steps it — but in threaded
-    mode it owns a parked thread that wakes for exactly one engine step
-    per round, so the round's steps overlap on multi-core hosts.
+    The worker is passive: the facade steps its engine once per round.
     """
 
     def __init__(self, worker_id: int, engine: EngineCore):
@@ -184,13 +183,6 @@ class ShardWorker:
         #: signal: spreading a class across workers bounds the blast radius
         #: one class's burst has on any single worker's queue).
         self.outstanding_by_class: dict[str, int] = {}
-        # -- threaded-mode plumbing (idle unless the facade starts it) --------
-        self._thread: threading.Thread | None = None
-        self._wake = threading.Event()
-        self._done = threading.Event()
-        self._stop = False
-        self.step_events: list[TokenEvent] = []
-        self.step_error: BaseException | None = None
 
     # -- routing bookkeeping ---------------------------------------------------
 
@@ -236,57 +228,6 @@ class ShardWorker:
     @property
     def queue_depth(self) -> int:
         return self.engine.n_waiting
-
-    # -- threaded stepping -----------------------------------------------------
-
-    def start_thread(self) -> None:
-        if self._thread is not None:
-            return
-        self._stop = False
-        self._thread = threading.Thread(
-            target=self._loop, name=f"repro-shard-worker-{self.worker_id}",
-            daemon=True,
-        )
-        self._thread.start()
-
-    def stop_thread(self) -> None:
-        thread = self._thread
-        if thread is None:
-            return
-        self._stop = True
-        self._wake.set()
-        thread.join()
-        self._thread = None
-
-    def _loop(self) -> None:
-        label = f"worker{self.worker_id}"
-        while True:
-            self._wake.wait()
-            self._wake.clear()
-            if self._stop:
-                break
-            try:
-                with worker_scope(label):
-                    self.step_events = self.engine.step()
-            except BaseException as exc:  # noqa: BLE001 — surfaced by the facade
-                self.step_error = exc
-                self.step_events = []
-            finally:
-                self._done.set()
-
-    def begin_step(self) -> None:
-        self.step_events = []
-        self.step_error = None
-        self._done.clear()
-        self._wake.set()
-
-    def join_step(self) -> None:
-        self._done.wait()
-
-    def step_inline(self) -> list[TokenEvent]:
-        """One engine step on the caller's thread (sync mode)."""
-        with worker_scope(f"worker{self.worker_id}"):
-            return self.engine.step()
 
     # -- stats -----------------------------------------------------------------
 
@@ -400,12 +341,8 @@ class ShardedEngine:
         factory (same model, same seed) — that is what keeps outputs
         placement-independent.
     n_workers:
-        Pool size (>= 1).
-    threaded:
-        ``True`` steps the round's workers on their own parked threads
-        (fork/join per round); ``False`` (default) steps them sequentially
-        on the caller's thread — same events, same order, fully
-        deterministic, and the right mode for virtual-clock replay.
+        Pool size (>= 1).  Workers step one after another on the caller's
+        thread (see the module docstring's concurrency model).
 
     The facade exposes ``pool=None`` / ``prefix_cache=None`` — per-worker
     pools are deliberately private; aggregate and per-worker numbers come
@@ -420,12 +357,10 @@ class ShardedEngine:
         engine_factory: Callable[[], EngineCore],
         *,
         n_workers: int = 2,
-        threaded: bool = False,
     ):
         if n_workers < 1:
             raise ValueError(f"n_workers must be >= 1, got {n_workers}")
         self.engine_factory = engine_factory
-        self.threaded = bool(threaded)
         self.index = GlobalPrefixIndex()
         self.workers: list[ShardWorker] = []
         for worker_id in range(n_workers):
@@ -439,23 +374,6 @@ class ShardedEngine:
         self.n_redispatched = 0
         self._owner: dict[str, ShardWorker] = {}
         self._counter = 0
-        if self.threaded:
-            for worker in self.workers:
-                worker.start_thread()
-
-    # -- lifecycle -------------------------------------------------------------
-
-    def close(self) -> None:
-        """Park and join every worker thread (no-op in sync mode)."""
-        for worker in self.workers:
-            worker.stop_thread()
-
-    def __enter__(self) -> "ShardedEngine":
-        return self
-
-    def __exit__(self, *exc) -> bool:
-        self.close()
-        return False
 
     # -- aggregate introspection ----------------------------------------------
 
@@ -477,10 +395,6 @@ class ShardedEngine:
 
     def backend_names(self) -> tuple[str, ...]:
         return self.workers[0].engine.backend_names()
-
-    @property
-    def n_alive_workers(self) -> int:
-        return len(self._alive_workers())
 
     @property
     def has_pending(self) -> bool:
@@ -578,32 +492,15 @@ class ShardedEngine:
     def step(self) -> list[TokenEvent]:
         """One round: every worker with runnable work advances one step.
 
-        Events merge in worker order — deterministic regardless of the
-        threading mode.  A worker whose step raises poisons the whole
-        round (the first error propagates after all workers re-park),
-        matching the single-engine contract hosts already handle.
+        Events merge in worker order.  A worker whose step raises poisons
+        the whole round (the error propagates at once), matching the
+        single-engine contract hosts already handle.
         """
         self.n_rounds += 1
-        runnable = [
-            worker for worker in self._alive_workers()
-            if worker.engine.has_runnable
-        ]
         events: list[TokenEvent] = []
-        if self.threaded:
-            for worker in runnable:
-                worker.begin_step()
-            error: BaseException | None = None
-            for worker in runnable:
-                worker.join_step()
-                if worker.step_error is not None and error is None:
-                    error = worker.step_error
-                events.extend(worker.step_events)
-                worker.step_events = []
-            if error is not None:
-                raise error
-        else:
-            for worker in runnable:
-                events.extend(worker.step_inline())
+        for worker in self._alive_workers():
+            if worker.engine.has_runnable:
+                events.extend(worker.engine.step())
         for event in events:
             if event.is_last:
                 worker = self._owner.get(event.request_id)
@@ -674,7 +571,6 @@ class ShardedEngine:
             raise ValueError(f"worker {worker_id} is already dead")
         if len(self._alive_workers()) < 2:
             raise RuntimeError("cannot kill the last alive worker")
-        victim.stop_thread()
         victim.alive = False
         self.index.drop_worker(worker_id)
         scheduler = victim.engine.scheduler
@@ -701,10 +597,12 @@ class ShardedEngine:
         for request in queued:
             rid = request.request_id
             # The victim's core still holds the queued state; cancelling
-            # releases its scheduler slot (it owns no pages yet).  The
-            # stored "cancelled" stub result stays on the dead core,
-            # unreachable once ownership moves.
+            # releases its scheduler slot (it owns no pages yet).  Its
+            # "cancelled" stub result is dropped at once: the request lives
+            # on elsewhere, and a stub left behind would surface from
+            # pop_results() as that live request's outcome.
             victim.engine.cancel(rid)
+            victim.engine.result(rid, pop=True)
             replacement, match_len = self.router.place(request)
             replacement.engine.submit(request)
             victim.transfer_grant(rid, replacement)

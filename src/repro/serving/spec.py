@@ -3,9 +3,10 @@
 Prompt-lookup / n-gram speculative decoding attacks the one per-token cost
 the batched refactor left standing — the target-model forward count itself.
 Each engine step a :class:`DraftProposer` guesses up to ``k`` continuation
-tokens for every in-flight sequence; the engine then runs **one** fused
-multi-token verify forward (:meth:`~repro.model.transformer.Transformer.
-decode_verify_step_batch`) instead of one forward per token, greedily
+tokens for every in-flight sequence; the engine then feeds each guess as
+one more row of its **one** fused decode forward
+(:meth:`~repro.model.transformer.Transformer.decode_step_batch`, the
+sequence's cache repeated per row) instead of one forward per token, greedily
 verifies the guesses against the target model's own logits and keeps the
 matching prefix.  Under greedy sampling this is provably output-identical
 to plain decoding: every accepted token is *exactly* the token the target

@@ -10,8 +10,7 @@ workers and the pool survives cancels and worker loss with every page
 accounted for.
 
 Wall-clock time is never asserted; every replay runs under the
-:class:`~repro.workloads.VirtualClock` and the threaded-mode test checks
-*parity*, not speed.
+:class:`~repro.workloads.VirtualClock`.
 """
 
 from __future__ import annotations
@@ -324,6 +323,39 @@ class TestChurn:
         # the dead worker), and the pool stays structurally sound.
         engine.assert_consistent()
 
+    def test_redispatch_leaves_no_stub_result_behind(
+        self, retrieval_model, tokenizer, vocab, tiny_samples
+    ):
+        """A re-dispatched request's outcome comes from its new worker only:
+        the dead core's "cancelled" stub must not surface from
+        ``pop_results()`` and orphan the request's load grant."""
+        engine = ShardedEngine(
+            make_factory(retrieval_model, tokenizer, vocab, max_running=1),
+            n_workers=2,
+        )
+        rids = [
+            engine.submit(
+                fp16_request(
+                    tiny_samples[i % len(tiny_samples)].context_words[:24 + i],
+                    ("req", str(i)),
+                )
+            )
+            for i in range(6)
+        ]
+        engine.step()
+        outcome = engine.kill_worker(1)
+        assert outcome["redispatched"], "the victim had a queue to re-dispatch"
+        cancelled = {e.request_id for e in outcome["cancelled"]}
+        early = engine.pop_results()
+        assert set(early) <= cancelled
+        drain(engine)
+        results = {**early, **engine.pop_results()}
+        assert set(results) == set(rids)
+        for rid in outcome["redispatched"]:
+            assert results[rid].stopped_by != "cancelled"
+        assert all(w.outstanding_tokens == 0 for w in engine.workers)
+        assert all(not w.outstanding_by_class for w in engine.workers)
+
     def test_cannot_kill_the_last_worker(
         self, retrieval_model, tokenizer, vocab
     ):
@@ -361,34 +393,6 @@ class TestOracleMatrix:
         # to exactly one worker and every grant was settled.
         assert sum(w.n_routed for w in engine.workers) >= len(trace)
         assert all(w.outstanding_tokens == 0 for w in engine.workers)
-
-
-class TestThreadedParity:
-    def test_threaded_rounds_match_sync_rounds(
-        self, generator, retrieval_model, tokenizer, vocab
-    ):
-        trace = generator.generate("mixed", 2)
-        attach_oracles(
-            trace, make_factory(retrieval_model, tokenizer, vocab)()
-        )
-        outcomes = {}
-        for threaded in (False, True):
-            clock = VirtualClock()
-            factory = make_factory(
-                retrieval_model, tokenizer, vocab,
-                max_running=4, clock=clock, **trace.engine_hints,
-            )
-            engine = ShardedEngine(factory, n_workers=2, threaded=threaded)
-            try:
-                run = EngineDriver(engine, clock=clock).run(trace)
-                check_oracles(run, block_size=BS)
-                outcomes[threaded] = {
-                    key: (o.token_ids, o.status, o.stopped_by)
-                    for key, o in run.outcomes.items()
-                }
-            finally:
-                engine.close()
-        assert outcomes[False] == outcomes[True]
 
 
 class TestServerPoolMode:

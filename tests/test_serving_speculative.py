@@ -288,32 +288,36 @@ class TestCompleteVerifyUnit:
         assert session.next_token == 5
         assert not session.finished
 
-    def test_batched_step_requires_verify_fn_for_drafts(self):
+    def test_batched_verify_checks_the_row_count(self):
         session = self.make_session(first=3)
-        batch = BatchedDecodeStep(lambda tokens, payloads: [])
-        with pytest.raises(ValueError, match="verify_batch_fn"):
-            batch.add(session, drafts=(4,))
+        batch = BatchedDecodeStep(
+            lambda tokens, payloads: [self.logits_for(4)]
+        )
+        batch.add(session, drafts=(4,))
+        with pytest.raises(RuntimeError, match="2 input rows"):
+            batch.commit()
 
     def test_batched_verify_commit_round_trip(self):
-        sessions = [self.make_session(first=3) for _ in range(2)]
+        sessions = [self.make_session(first=3) for _ in range(3)]
 
-        def verify(token_lists, payloads):
-            assert token_lists == [[3, 4], [3, 9]]
-            return [
-                [self.logits_for(4), self.logits_for(5)],
-                [self.logits_for(4), self.logits_for(5)],
-            ]
+        def step(tokens, payloads):
+            # Verify runs become consecutive rows over a repeated payload.
+            assert tokens == [3, 4, 3, 3, 9]
+            assert payloads == ["a", "a", "b", "c", "c"]
+            return [self.logits_for(t) for t in (4, 5, 6, 4, 5)]
 
-        batch = BatchedDecodeStep(
-            lambda tokens, payloads: [], verify_batch_fn=verify
-        )
-        batch.add(sessions[0], drafts=(4,))
-        batch.add(sessions[1], drafts=(9,))
-        assert batch.commit() == 2
-        assert batch.accepted_drafts == [[4], []]
+        batch = BatchedDecodeStep(step)
+        batch.add(sessions[0], "a", drafts=(4,))
+        batch.add(sessions[1], "b")
+        batch.add(sessions[2], "c", drafts=(9,))
+        assert batch.commit() == 3
+        assert batch.accepted_drafts == [[4], [], []]
         assert sessions[0].generated == [3, 4]
+        assert sessions[0].next_token == 5
         assert sessions[1].generated == [3]
-        assert sessions[1].next_token == 4  # corrected
+        assert sessions[1].next_token == 6  # a plain row
+        assert sessions[2].generated == [3]
+        assert sessions[2].next_token == 4  # corrected
 
 
 class TestTruncate:
@@ -339,7 +343,8 @@ class TestTruncate:
         length = cache.length
         blocks_before = pool.n_allocated
         # A verify run appends rows for drafts that will all be rejected.
-        rejected = model.decode_verify_step([3, 5, 7, 9, 11, 2, 4, 6], cache)
+        run = [3, 5, 7, 9, 11, 2, 4, 6]
+        rejected = model.decode_step_batch(run, [cache] * len(run))
         assert len(rejected) == 8
         assert pool.n_allocated > blocks_before
         cache.truncate(length)
@@ -388,7 +393,7 @@ class TestTruncate:
         model.prefill(prompt, reference)
         cache.mark_context(10)
         length = cache.length
-        model.decode_verify_step([3, 5, 7], cache)
+        model.decode_step_batch([3, 5, 7], [cache] * 3)
         cache.truncate(length)
         assert cache.length == length
         np.testing.assert_array_equal(
@@ -402,15 +407,16 @@ class TestVerifyStepModel:
     def test_verify_matches_sequential_decode_steps(
         self, retrieval_model, tokenizer
     ):
-        """The multi-token verify forward is bit-identical to one decode
-        step per token, regardless of run length."""
+        """A verify run — one cache repeated over ``k + 1`` rows — is
+        bit-identical to one decode step per token, regardless of run
+        length."""
         model = retrieval_model
         prompt = tokenizer.encode(["the"] * 20 + ["<sep>", "the"])
         verify_cache, sequential_cache = model.new_cache(), model.new_cache()
         model.prefill(prompt, verify_cache)
         model.prefill(prompt, sequential_cache)
         tokens = [3, 5, 7, 9]
-        fused = model.decode_verify_step(tokens, verify_cache)
+        fused = model.decode_step_batch(tokens, [verify_cache] * len(tokens))
         for token, row in zip(tokens, fused):
             np.testing.assert_array_equal(
                 row, model.decode_step(token, sequential_cache)
@@ -421,12 +427,13 @@ class TestVerifyStepModel:
         model = retrieval_model
         cache = model.new_cache(capacity=24)
         model.prefill(tokenizer.encode(["the"] * 20 + ["<sep>", "the"]), cache)
-        with pytest.raises(ValueError, match="at least one token"):
-            model.decode_verify_step([], cache)
-        with pytest.raises(ValueError, match="does not fit"):
-            model.decode_verify_step([1, 2, 3], cache)
+        length = cache.length
+        assert model.decode_step_batch([], []) == []
+        with pytest.raises(ValueError, match="3 rows from length 22 do not fit"):
+            model.decode_step_batch([1, 2, 3], [cache] * 3)
+        assert cache.length == length
         with pytest.raises(ValueError, match="caches"):
-            model.decode_verify_step_batch([[1], [2]], [cache])
+            model.decode_step_batch([1, 2], [cache])
 
 
 class TestSpeculativeParity:
